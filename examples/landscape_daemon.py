@@ -9,7 +9,7 @@ private store.  Concurrent identical requests are *single-flighted*:
 the daemon computes once and every waiting client gets the result.
 
 With ``tcp=`` and a ``tokens_file`` the same daemon also serves the
-network: an asyncio TCP listener speaking the pickle-free v2 protocol,
+network: a TCP listener speaking the same declarative v2 protocol,
 bearer-token auth, and one store *namespace per tenant* — while exact
 identical requests still compute only once across tenants.
 

@@ -9,16 +9,21 @@ a cost function + grid to the daemon and gets a
 daemon's shared store when cached, computed once on its persistent pool
 otherwise (concurrent identical requests are deduplicated server-side).
 
-Two protocol generations live behind one API:
+Every request travels as a versioned frame of **declarative specs**
+built from the :mod:`repro.service.protocol` registry (registered
+ansatz, cost-function, grid and noise types), the one dialect both
+transports speak.  A request that cannot describe itself that way (a
+plain closure, an unregistered cost function or grid) fails client-side
+with a :class:`DaemonError` whose ``code`` is ``"invalid-spec"``,
+before anything is sent.
 
-- requests that can describe themselves declaratively (registered
-  ansatz/cost-function/grid/noise types) travel as **pickle-free v2
-  frames** built from the :mod:`repro.service.protocol` spec registry —
-  the only dialect the TCP front accepts;
-- requests that cannot (closures, duck-typed test grids) fall back to
-  the **legacy pickled v1 frames**, which the daemon only honours on the
-  Unix socket.  Over TCP such requests fail client-side with a
-  :class:`DaemonError` rather than ship un-describable payloads.
+Compute-type calls (``get_or_compute``, ``evaluate_indices``,
+``evaluate_ansatz``, ``evaluate_ansatz_indices``, ``run_pipeline``)
+wait as long as the client's ``timeout`` allows, because a compute can
+legitimately take minutes.  The probes and maintenance calls
+(``is_alive``, ``ping``, ``stats``, ``index``, ``get``, ``invalidate``,
+``shutdown``) never wait longer than :data:`PROBE_TIMEOUT`, so a
+listener that accepts but never answers cannot hang them.
 
 The client **falls back transparently** to in-process execution when no
 daemon is listening (socket missing, connection refused, daemon gone
@@ -48,7 +53,6 @@ Example — no daemon on this socket, so the call computes locally::
 
 from __future__ import annotations
 
-import pickle
 import socket
 from dataclasses import replace
 from pathlib import Path
@@ -71,7 +75,14 @@ from .protocol import (
     noise_to_spec,
 )
 
-__all__ = ["DaemonError", "DaemonUnavailable", "LandscapeClient"]
+__all__ = ["DaemonError", "DaemonUnavailable", "LandscapeClient", "PROBE_TIMEOUT"]
+
+#: Upper bound, in seconds, on how long a probe or maintenance call
+#: (``is_alive``, ``ping``, ``stats``, ``index``, ``get``,
+#: ``invalidate``, ``shutdown``) waits on the socket.  None of them
+#: computes, so a daemon that has not answered by then is wedged or not
+#: a daemon at all.
+PROBE_TIMEOUT = 10.0
 
 
 class DaemonUnavailable(ConnectionError):
@@ -91,7 +102,8 @@ class DaemonError(RuntimeError):
         super().__init__(f"{kind}: {message}")
         #: exception type name reported by the daemon
         self.kind = kind
-        #: v2 machine-readable error code (``None`` from v1 daemons)
+        #: machine-readable error code (one of
+        #: :data:`~repro.service.protocol.ERROR_CODES`)
         self.code = code
         #: whether the daemon marked the failure as safe to retry
         self.retryable = retryable
@@ -116,13 +128,15 @@ class LandscapeClient:
     Args:
         target: the daemon's Unix-socket path, or ``tcp://host:port``
             for the authenticated TCP front.
-        timeout: per-request socket timeout in seconds (``None`` waits
-            indefinitely — computes can legitimately take minutes).
+        timeout: per-request socket timeout in seconds for compute-type
+            calls (``None`` waits indefinitely — computes can
+            legitimately take minutes).  Probes and maintenance calls
+            cap it at :data:`PROBE_TIMEOUT`.
         fallback: whether :meth:`get_or_compute` computes in-process
             when no daemon is reachable.  ``False`` raises
             :class:`DaemonUnavailable` instead (the equivalence harness
             uses this so a dead daemon fails loudly).
-        token: bearer token attached to every v2 frame.  Required for
+        token: bearer token attached to every frame.  Required for
             TCP targets; optional on the Unix socket (where it selects
             a tenant namespace instead of the default one).
 
@@ -155,26 +169,31 @@ class LandscapeClient:
 
     # -- transport ---------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
+    def _connect(self, timeout: float | None) -> socket.socket:
         if self.tcp_address is not None:
-            return socket.create_connection(self.tcp_address, timeout=self.timeout)
+            return socket.create_connection(self.tcp_address, timeout=timeout)
         connection = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            connection.settimeout(self.timeout)
+            connection.settimeout(timeout)
             connection.connect(str(self.socket_path))
         except BaseException:
             connection.close()
             raise
         return connection
 
-    def _request(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def _request(self, payload: dict[str, Any], probe: bool = False) -> dict[str, Any]:
         """One request/response round trip on a fresh connection.
 
-        Connectivity failures raise :class:`DaemonUnavailable`;
-        protocol-level failures raise :class:`DaemonError`.
+        ``probe=True`` caps the wait at :data:`PROBE_TIMEOUT`.
+        Connectivity failures (a timeout included) raise
+        :class:`DaemonUnavailable`; protocol-level failures raise
+        :class:`DaemonError`.
         """
+        timeout = self.timeout
+        if probe and (timeout is None or timeout > PROBE_TIMEOUT):
+            timeout = PROBE_TIMEOUT
         try:
-            with self._connect() as connection:
+            with self._connect(timeout) as connection:
                 with connection.makefile("rwb") as stream:
                     write_message(stream, payload)
                     response = read_response(stream)
@@ -192,7 +211,7 @@ class LandscapeClient:
             )
         return response
 
-    def _v2_frame(self, op: str, **fields: Any) -> dict[str, Any]:
+    def _frame(self, op: str, **fields: Any) -> dict[str, Any]:
         """A versioned frame with the client's token attached."""
         frame: dict[str, Any] = {"version": PROTOCOL_VERSION, "op": op}
         if self.token is not None:
@@ -200,24 +219,26 @@ class LandscapeClient:
         frame.update(fields)
         return frame
 
-    def _v1_frame(self, op: str, task: dict[str, Any], **fields: Any) -> dict[str, Any]:
-        """A legacy pickled frame — refused client-side over TCP.
+    @staticmethod
+    def _unspecable(op: str) -> DaemonError:
+        """The client-side refusal of a request the spec registry cannot
+        describe."""
+        return DaemonError(
+            "ProtocolError",
+            f"{op}: this request cannot be expressed as a declarative "
+            "spec (unregistered cost function, ansatz, grid or noise type)",
+            code="invalid-spec",
+        )
 
-        The TCP front never unpickles, so shipping a pickled task there
-        would only earn an ``unknown-op`` from the daemon; failing here
-        names the actual problem (the payload cannot be described
-        declaratively).
-        """
-        if self.tcp_address is not None:
-            raise DaemonError(
-                "ProtocolError",
-                f"{op}: this request cannot be expressed as a declarative "
-                "v2 spec (unregistered cost function, ansatz, or grid "
-                "type), and the legacy pickle protocol is Unix-socket "
-                "only",
-                code="invalid-spec",
-            )
-        return {"op": op, "task": encode_blob(pickle.dumps(task)), **fields}
+    def _function_frame(self, op: str, function, grid, **fields: Any) -> dict[str, Any]:
+        """A frame for a ``(function, grid)`` request, refused
+        client-side when either cannot be described as a spec (a points
+        grid included: it cannot key a landscape)."""
+        function_spec = function_to_spec(function)
+        grid_spec = grid_to_spec(grid)
+        if function_spec is None or not isinstance(grid_spec, list):
+            raise self._unspecable(op)
+        return self._frame(op, function=function_spec, grid=grid_spec, **fields)
 
     # -- probes and maintenance --------------------------------------------
 
@@ -231,11 +252,11 @@ class LandscapeClient:
 
     def ping(self) -> dict[str, Any]:
         """The daemon's ``ping`` response (pid, workers, uptime)."""
-        return self._request(self._v2_frame("ping"))
+        return self._request(self._frame("ping"), probe=True)
 
     def stats(self) -> dict[str, Any]:
         """Request/hit/miss/dedup counters plus the store summary."""
-        response = self._request(self._v2_frame("stats"))
+        response = self._request(self._frame("stats"), probe=True)
         response.pop("ok", None)
         response.pop("version", None)
         return response
@@ -243,23 +264,23 @@ class LandscapeClient:
     def index(self) -> list[dict[str, Any]]:
         """The daemon store's entry listing (LRU first), scoped to this
         client's tenant namespace."""
-        return list(self._request(self._v2_frame("index"))["entries"])
+        return list(self._request(self._frame("index"), probe=True)["entries"])
 
     def invalidate(self, key: str) -> bool:
         """Drop one cached entry by key; returns whether it existed."""
         return bool(
-            self._request(self._v2_frame("invalidate", key=key))["removed"]
+            self._request(self._frame("invalidate", key=key), probe=True)["removed"]
         )
 
     def get(self, key: str) -> Landscape | None:
         """Fetch a cached landscape by key without ever computing."""
-        blob = self._request(self._v2_frame("get", key=key))["landscape"]
+        blob = self._request(self._frame("get", key=key), probe=True)["landscape"]
         return None if blob is None else Landscape.from_bytes(decode_blob(blob))
 
     def shutdown(self) -> None:
         """Ask the daemon to stop serving (best-effort, returns after
         the daemon acknowledges)."""
-        self._request(self._v2_frame("shutdown"))
+        self._request(self._frame("shutdown"), probe=True)
 
     # -- the service path --------------------------------------------------
 
@@ -275,9 +296,8 @@ class LandscapeClient:
     ) -> Landscape:
         """A dense landscape for ``(function, grid)``, served or computed.
 
-        Ships the cost function and grid to the daemon — declaratively
-        when both can describe themselves (v2), pickled otherwise
-        (Unix-only v1) — which derives the canonical
+        Ships the cost function and grid to the daemon as declarative
+        specs; the daemon derives the canonical
         :class:`~repro.service.store.LandscapeSpec` itself, serves a
         store hit, or computes once on its persistent pool
         (deduplicating concurrent identical requests).  ``seed`` /
@@ -291,16 +311,17 @@ class LandscapeClient:
         its own local path, preserving its ``workers``/``store``
         settings), else by a plain single-process generator.
         """
-        task = {
-            "function": function,
-            "grid": grid,
-            "batch_size": batch_size,
-            "seed": seed,
-            "shard_points": shard_points,
-            "label": label,
-        }
+        frame = self._function_frame(
+            "compute",
+            function,
+            grid,
+            batch_size=batch_size,
+            seed=seed,
+            shard_points=shard_points,
+            label=label,
+        )
         try:
-            response = self._request(self._compute_frame(task, label))
+            response = self._request(frame)
         except DaemonUnavailable:
             # fallback=False is the loud-failure configuration: it wins
             # even when the caller supplied a fallback callable (the
@@ -311,7 +332,9 @@ class LandscapeClient:
             self.last_served_by = "local"
             if fallback is not None:
                 return fallback()
-            return self._local_compute(task)
+            return _local_generator(
+                function, grid, batch_size, seed, shard_points
+            ).local_grid_search(label)
         landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
         if response.get("deduped"):
             self.last_served_by = "daemon-deduped"
@@ -322,74 +345,6 @@ class LandscapeClient:
         if landscape.label != label:
             landscape = replace(landscape, label=label)
         return landscape
-
-    def _compute_frame(self, task: dict[str, Any], label: str) -> dict[str, Any]:
-        function_spec = function_to_spec(task["function"])
-        grid_spec = grid_to_spec(task["grid"])
-        if function_spec is not None and grid_spec is not None:
-            return self._v2_frame(
-                "compute",
-                function=function_spec,
-                grid=grid_spec,
-                batch_size=task["batch_size"],
-                seed=task["seed"],
-                shard_points=task["shard_points"],
-                label=label,
-            )
-        return self._v1_frame("compute", task, label=label)
-
-    @staticmethod
-    def _local_compute(task: dict[str, Any]) -> Landscape:
-        from ..landscape.generator import LandscapeGenerator
-
-        generator = LandscapeGenerator(
-            task["function"],
-            task["grid"],
-            batch_size=task["batch_size"],
-            seed=task["seed"],
-            shard_points=task["shard_points"],
-        )
-        return generator.local_grid_search(task["label"])
-
-    @staticmethod
-    def _local_generator(task: dict[str, Any]):
-        from ..landscape.generator import LandscapeGenerator
-
-        return LandscapeGenerator(
-            task["function"],
-            task["grid"],
-            batch_size=task["batch_size"],
-            seed=task["seed"],
-            shard_points=task["shard_points"],
-        )
-
-    @staticmethod
-    def _writeback_rng(
-        rng: np.random.Generator | None, response: dict[str, Any], field: str = "rng"
-    ) -> None:
-        """Restore a caller generator to the daemon-advanced position.
-
-        v2 responses carry a JSON rng state; v1 responses carry the
-        pickled generator itself.  Either way the *caller's* object is
-        mutated in place, never replaced.
-        """
-        if rng is None:
-            return
-        payload = response.get(field)
-        if payload is None:
-            return
-        if isinstance(payload, dict):
-            apply_rng_state(rng, payload)
-        else:
-            advanced = pickle.loads(decode_blob(payload))
-            rng.bit_generator.state = advanced.bit_generator.state
-
-    @staticmethod
-    def _decode_values(payload: Any) -> np.ndarray:
-        """Values from either wire generation (typed codec vs pickle)."""
-        if isinstance(payload, dict):
-            return decode_array(payload)
-        return np.asarray(pickle.loads(decode_blob(payload)))
 
     # -- sparse evaluation (OSCAR's sampling path) -------------------------
 
@@ -416,30 +371,17 @@ class LandscapeClient:
         :meth:`get_or_compute` when no daemon is reachable.
         """
         indices = np.asarray(flat_indices, dtype=np.int64)
-        task = {
-            "function": function,
-            "grid": grid,
-            "indices": indices,
-            "batch_size": batch_size,
-            "seed": seed,
-            "shard_points": shard_points,
-        }
         rng = getattr(function, "rng", None)
-        function_spec = function_to_spec(function)
-        grid_spec = grid_to_spec(grid)
-        if function_spec is not None and grid_spec is not None:
-            frame = self._v2_frame(
-                "compute_indices",
-                function=function_spec,
-                grid=grid_spec,
-                indices=encode_array(indices),
-                batch_size=batch_size,
-                seed=seed,
-                shard_points=shard_points,
-                rng=None if rng is None else encode_rng_state(rng),
-            )
-        else:
-            frame = self._v1_frame("compute_indices", task)
+        frame = self._function_frame(
+            "compute_indices",
+            function,
+            grid,
+            indices=encode_array(indices),
+            batch_size=batch_size,
+            seed=seed,
+            shard_points=shard_points,
+            rng=None if rng is None else encode_rng_state(rng),
+        )
         try:
             response = self._request(frame)
         except DaemonUnavailable:
@@ -449,9 +391,11 @@ class LandscapeClient:
             self.last_served_by = "local"
             if fallback is not None:
                 return np.asarray(fallback())
-            return self._local_generator(task).local_evaluate_indices(indices)
-        values = self._decode_values(response["values"])
-        self._writeback_rng(rng, response)
+            return _local_generator(
+                function, grid, batch_size, seed, shard_points
+            ).local_evaluate_indices(indices)
+        values = decode_array(response["values"])
+        _writeback_rng(rng, response)
         if response.get("readthrough"):
             self.last_served_by = "daemon-readthrough"
         elif response.get("deduped"):
@@ -472,50 +416,25 @@ class LandscapeClient:
         """Uncached sparse evaluation at the ansatz level.
 
         The ``compute_indices`` counterpart of :meth:`evaluate_ansatz`:
-        index points resolve server-side, per-row ``noise`` sequences
-        align with the index list, and the caller's ``rng`` state
-        round-trips — the ``daemon-sparse`` and ``daemon-tcp`` engines
-        in ``tests/equivalence/harness.py`` are this call.  Never falls
-        back (a dead daemon must fail the parity matrix loudly).
+        index points resolve server-side (``grid`` may be a
+        :class:`~repro.service.protocol.PointsGrid` of explicit rows),
+        per-row ``noise`` sequences align with the index list, and the
+        caller's ``rng`` state round-trips — the ``daemon-sparse``
+        engine in ``tests/equivalence/harness.py`` is this call.  Never
+        falls back (a dead daemon must fail the parity matrix loudly).
         """
         indices = np.asarray(flat_indices, dtype=np.int64)
-        frame = self._sparse_ansatz_frame(ansatz, grid, indices, noise, shots, rng)
-        if frame is None:
-            frame = self._v1_frame(
-                "compute_indices",
-                {
-                    "ansatz": ansatz,
-                    "grid": grid,
-                    "indices": indices,
-                    "noise": noise,
-                    "shots": shots,
-                    "rng": rng,
-                },
-            )
-        response = self._request(frame)
-        values = self._decode_values(response["values"])
-        self._writeback_rng(rng, response)
-        return values
-
-    def _sparse_ansatz_frame(
-        self, ansatz, grid, indices, noise, shots, rng
-    ) -> dict[str, Any] | None:
-        ansatz_spec = ansatz_to_spec(ansatz)
         grid_spec = grid_to_spec(grid)
-        if ansatz_spec is None or grid_spec is None:
-            return None
-        try:
-            noise_spec = noise_to_spec(noise)
-        except (AttributeError, TypeError, ValueError):
-            return None
-        return self._v2_frame(
+        if grid_spec is None:
+            raise self._unspecable("compute_indices")
+        return self._evaluate(
             "compute_indices",
-            ansatz=ansatz_spec,
+            ansatz,
+            noise,
+            shots,
+            rng,
             grid=grid_spec,
             indices=encode_array(indices),
-            noise=noise_spec,
-            shots=shots,
-            rng=None if rng is None else encode_rng_state(rng),
         )
 
     # -- the one-request pipeline ------------------------------------------
@@ -542,19 +461,31 @@ class LandscapeClient:
         the in-process :func:`~repro.service.pipeline.run_pipeline`
         when no daemon is reachable.
         """
+        from dataclasses import asdict, is_dataclass
+
+        from ..landscape.reconstructor import ReconstructionReport
+        from ..optimizers.base import OptimizationResult
         from .pipeline import PipelineOutcome, run_pipeline
 
-        task = {
-            "function": function,
-            "grid": grid,
-            "config": config,
-            "sample_rng": sample_rng,
-            "batch_size": batch_size,
-            "seed": seed,
-            "shard_points": shard_points,
-        }
+        if not is_dataclass(config):
+            raise self._unspecable("pipeline")
+        payload = asdict(config)
+        if isinstance(payload.get("initial_point"), tuple):
+            payload["initial_point"] = list(payload["initial_point"])
         rng = getattr(function, "rng", None)
-        frame = self._pipeline_frame(task)
+        frame = self._function_frame(
+            "pipeline",
+            function,
+            grid,
+            config=payload,
+            sample_rng=encode_rng_state(sample_rng)
+            if isinstance(sample_rng, np.random.Generator)
+            else sample_rng,
+            batch_size=batch_size,
+            seed=seed,
+            shard_points=shard_points,
+            rng=None if rng is None else encode_rng_state(rng),
+        )
         try:
             response = self._request(frame)
         except DaemonUnavailable:
@@ -564,77 +495,30 @@ class LandscapeClient:
             self.last_served_by = "local"
             if fallback is not None:
                 return fallback()
-            return run_pipeline(self._local_generator(task), config, sample_rng)
+            generator = _local_generator(function, grid, batch_size, seed, shard_points)
+            return run_pipeline(generator, config, sample_rng)
         landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
-        self._writeback_rng(rng, response)
+        _writeback_rng(rng, response)
         if isinstance(sample_rng, np.random.Generator):
-            self._writeback_rng(sample_rng, response, field="sample_rng")
+            _writeback_rng(sample_rng, response, field="sample_rng")
         self.last_served_by = "daemon-pipeline"
-        if "result" in response:  # v1: pickled report/optimization/arrays
-            result = pickle.loads(decode_blob(response["result"]))
-            report = result["report"]
-            optimization = result["optimization"]
-            flat_indices = np.asarray(result["flat_indices"])
-            values = np.asarray(result["values"])
-        else:  # v2: field dicts + typed array codecs
-            from ..landscape.reconstructor import ReconstructionReport
-            from ..optimizers.base import OptimizationResult
-
-            opt = response["optimization"]
-            report = ReconstructionReport(**response["report"])
-            optimization = OptimizationResult(
+        opt = response["optimization"]
+        return PipelineOutcome(
+            landscape=landscape,
+            report=ReconstructionReport(**response["report"]),
+            optimization=OptimizationResult(
                 parameters=decode_array(opt["parameters"]),
                 value=float(opt["value"]),
                 num_queries=int(opt["num_queries"]),
                 path=decode_array(opt["path"]),
                 converged=bool(opt["converged"]),
                 label=str(opt["label"]),
-            )
-            flat_indices = decode_array(response["flat_indices"])
-            values = decode_array(response["values"])
-        return PipelineOutcome(
-            landscape=landscape,
-            report=report,
-            optimization=optimization,
-            flat_indices=flat_indices,
-            values=values,
+            ),
+            flat_indices=decode_array(response["flat_indices"]),
+            values=decode_array(response["values"]),
             timings=dict(response.get("timings") or {}),
             key=response.get("key"),
             served_by="daemon",
-        )
-
-    def _pipeline_frame(self, task: dict[str, Any]) -> dict[str, Any]:
-        from dataclasses import asdict, is_dataclass
-
-        function_spec = function_to_spec(task["function"])
-        grid_spec = grid_to_spec(task["grid"])
-        config = task["config"]
-        sample_rng = task["sample_rng"]
-        if (
-            function_spec is None
-            or grid_spec is None
-            or not is_dataclass(config)
-        ):
-            return self._v1_frame("pipeline", task)
-        payload = asdict(config)
-        if isinstance(payload.get("initial_point"), tuple):
-            payload["initial_point"] = list(payload["initial_point"])
-        if isinstance(sample_rng, np.random.Generator):
-            sample_payload: Any = encode_rng_state(sample_rng)
-        else:
-            sample_payload = sample_rng
-        return self._v2_frame(
-            "pipeline",
-            function=function_spec,
-            grid=grid_spec,
-            config=payload,
-            sample_rng=sample_payload,
-            batch_size=task["batch_size"],
-            seed=task["seed"],
-            shard_points=task["shard_points"],
-            rng=None
-            if getattr(task["function"], "rng", None) is None
-            else encode_rng_state(task["function"].rng),
         )
 
     # -- raw evaluation (the equivalence-harness path) ---------------------
@@ -649,49 +533,63 @@ class LandscapeClient:
     ) -> np.ndarray:
         """Uncached batch evaluation through the daemon.
 
-        The caller's ``rng`` (if any) ships over — as a JSON state on
-        the v2 path, pickled on the legacy path — is consumed by the
-        daemon's executor, and its final state is written back into the
-        caller's generator, so values *and* rng stream position match
-        an in-process evaluation exactly.  This is the call the
-        ``daemon`` and ``daemon-tcp`` engines in
+        The caller's ``rng`` (if any) ships over as a JSON state, is
+        consumed by the daemon's executor, and its final state is
+        written back into the caller's generator, so values *and* rng
+        stream position match an in-process evaluation exactly.  This
+        is the call the ``daemon`` and ``daemon-tcp`` engines in
         ``tests/equivalence/harness.py`` are built on; it never falls
         back (a dead daemon must fail the parity matrix, not silently
         pass it).
         """
         batch = np.asarray(batch, dtype=float)
-        frame = self._evaluate_frame(ansatz, batch, noise, shots, rng)
-        if frame is None:
-            frame = self._v1_frame(
-                "evaluate",
-                {
-                    "ansatz": ansatz,
-                    "batch": batch,
-                    "noise": noise,
-                    "shots": shots,
-                    "rng": rng,
-                },
-            )
-        response = self._request(frame)
-        values = self._decode_values(response["values"])
-        self._writeback_rng(rng, response)
-        return values
+        return self._evaluate(
+            "evaluate", ansatz, noise, shots, rng, batch=encode_array(batch)
+        )
 
-    def _evaluate_frame(
-        self, ansatz, batch, noise, shots, rng
-    ) -> dict[str, Any] | None:
+    def _evaluate(
+        self, op: str, ansatz, noise, shots, rng, **fields: Any
+    ) -> np.ndarray:
+        """The shared body of the two raw ansatz-level calls."""
         ansatz_spec = ansatz_to_spec(ansatz)
-        if ansatz_spec is None:
-            return None
         try:
             noise_spec = noise_to_spec(noise)
         except (AttributeError, TypeError, ValueError):
-            return None
-        return self._v2_frame(
-            "evaluate",
-            ansatz=ansatz_spec,
-            batch=encode_array(batch),
-            noise=noise_spec,
-            shots=shots,
-            rng=None if rng is None else encode_rng_state(rng),
+            raise self._unspecable(op) from None
+        if ansatz_spec is None:
+            raise self._unspecable(op)
+        response = self._request(
+            self._frame(
+                op,
+                ansatz=ansatz_spec,
+                noise=noise_spec,
+                shots=shots,
+                rng=None if rng is None else encode_rng_state(rng),
+                **fields,
+            )
         )
+        values = decode_array(response["values"])
+        _writeback_rng(rng, response)
+        return values
+
+
+def _local_generator(function, grid, batch_size, seed, shard_points):
+    """The plain single-process generator the no-daemon fallback uses."""
+    from ..landscape.generator import LandscapeGenerator
+
+    return LandscapeGenerator(
+        function,
+        grid,
+        batch_size=batch_size,
+        seed=seed,
+        shard_points=shard_points,
+    )
+
+
+def _writeback_rng(
+    rng: np.random.Generator | None, response: dict[str, Any], field: str = "rng"
+) -> None:
+    """Restore a caller generator to the daemon-advanced position (the
+    *caller's* object is mutated in place, never replaced)."""
+    if rng is not None and response.get(field) is not None:
+        apply_rng_state(rng, response[field])

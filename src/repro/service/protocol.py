@@ -1,9 +1,7 @@
-"""Wire protocol v2: versioned, pickle-free JSON messages.
+"""The daemon's wire protocol: versioned, declarative JSON messages.
 
-Protocol v1 (the original daemon wire format) shipped **pickled** task
-payloads, which confines it to the Unix socket's filesystem trust
-boundary: anyone who can connect can execute code.  v2 removes that
-assumption so the daemon can face a network:
+One dialect serves both of the daemon's transports (the Unix socket and
+the authenticated TCP listener):
 
 - every message carries ``"version": 2``; unversioned or wrong-version
   frames get a structured ``unsupported-version`` error;
@@ -12,7 +10,8 @@ assumption so the daemon can face a network:
   (``Ansatz.cache_spec`` / ``NoiseModel.cache_spec`` / the cost-function
   ``cache_spec``) — resolved server-side by the registry in this module
   (:func:`ansatz_from_spec`, :func:`function_from_spec`,
-  :func:`grid_from_spec`).  Nothing on the v2 path ever unpickles;
+  :func:`grid_from_spec`), so a request can only ever name a registered
+  type, never ship code;
 - binary payloads are explicit codecs: landscapes stay
   ``Landscape.to_bytes``/``from_bytes`` (base64 ``.npz``), numeric
   arrays are :func:`encode_array`/:func:`decode_array` (dtype-allowlisted
@@ -22,7 +21,7 @@ assumption so the daemon can face a network:
   error objects (codes in :data:`ERROR_CODES`), so clients can
   distinguish an auth failure from an overload shed from a bad spec.
 
-The module also owns the **bearer-token** model of the TCP front:
+The module also owns the **bearer-token** model:
 :func:`load_tokens` parses a tenant→token file and
 :func:`authenticate` performs the constant-time lookup
 (:func:`hmac.compare_digest` against every credential, so timing never
@@ -57,6 +56,7 @@ __all__ = [
     "decode_rng_state",
     "apply_rng_state",
     "rng_from_state",
+    "PointsGrid",
     "grid_to_spec",
     "grid_from_spec",
     "noise_to_spec",
@@ -68,21 +68,18 @@ __all__ = [
     "validate_function_spec",
 ]
 
-#: The current wire protocol version; every v2 message carries it.
+#: The current wire protocol version; every message carries it.
 PROTOCOL_VERSION = 2
 
-#: Versions this server generation understands.  v1 (unversioned pickle
-#: frames) is deliberately absent: it is transport-gated, not
-#: version-negotiated — the Unix socket accepts it for one more release,
-#: TCP never does.
+#: Versions this server generation understands.
 SUPPORTED_VERSIONS = (PROTOCOL_VERSION,)
 
-#: Structured error codes a v2 response may carry.
+#: Structured error codes a response may carry.
 ERROR_CODES = (
     "auth",  # missing/unknown/expired bearer token
     "unsupported-version",  # missing or unknown "version" field
     "malformed",  # not JSON, not an object, wrong field type
-    "unknown-op",  # op not in the v2 dispatch table
+    "unknown-op",  # op not in the dispatch table
     "invalid-spec",  # declarative spec failed server-side resolution
     "too-large",  # frame exceeds the payload limit
     "overloaded",  # connection/request cap shed (retryable)
@@ -90,7 +87,7 @@ ERROR_CODES = (
 )
 
 #: The implicit tenant of unauthenticated Unix-socket requests — the
-#: daemon's legacy single-namespace store keeps serving under this name.
+#: daemon's own store (``cache_dir=``) serves under this name.
 DEFAULT_TENANT = "local"
 
 #: Tenant names become store path components, so they are restricted to
@@ -104,7 +101,7 @@ _TENANT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}\Z")
 _BIT_GENERATORS = ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")
 
 #: dtypes :func:`decode_array` will materialize.  Raw numeric buffers
-#: only — never object arrays, so the codec cannot smuggle pickles.
+#: only — never object arrays, so the codec cannot carry code.
 _ARRAY_DTYPES = ("float64", "int64")
 
 
@@ -341,18 +338,44 @@ def apply_rng_state(rng: np.random.Generator, payload: Any) -> None:
 # -- grid and noise specs -----------------------------------------------------
 
 
-def grid_to_spec(grid: Any) -> list[dict[str, Any]] | None:
-    """Grid -> per-axis spec list, or ``None`` for duck-typed grids.
+@dataclass(frozen=True, eq=False)
+class PointsGrid:
+    """An explicit ``(B, d)`` point list addressed by flat index ``0..B-1``.
 
-    The axis shape is exactly what
+    The ``points`` grid spec: it lets an ansatz-shaped
+    ``compute_indices`` request evaluate arbitrary parameter rows (the
+    ``daemon-sparse`` equivalence engine ships its test batch this way)
+    while the daemon still resolves ``flat index -> point`` server-side.
+    It has no axes, so it cannot key a landscape: ``compute``,
+    ``pipeline`` and function-shaped ``compute_indices`` refuse it.
+    """
+
+    points: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of addressable points."""
+        return int(self.points.shape[0])
+
+    def points_from_flat(self, flat_indices) -> np.ndarray:
+        """The rows at ``flat_indices``, in request order."""
+        return self.points[np.asarray(flat_indices, dtype=np.int64)]
+
+
+def grid_to_spec(grid: Any) -> list[dict[str, Any]] | dict[str, Any] | None:
+    """Grid -> spec, or ``None`` for grids the registry cannot describe.
+
+    A :class:`~repro.landscape.grid.ParameterGrid` becomes a per-axis
+    list, exactly what
     :meth:`~repro.service.store.LandscapeSpec.from_parts` records, so a
-    v2 request and the server-derived cache key describe the grid
-    identically.  Stand-in grids (test doubles with only
-    ``points_from_flat``) are not declaratively describable — callers
-    fall back to the legacy pickle path on the Unix socket.
+    request and the server-derived cache key describe the grid
+    identically.  A :class:`PointsGrid` becomes ``{"points": <float64
+    (B, d) array codec>}``.
     """
     from ..landscape.grid import ParameterGrid
 
+    if isinstance(grid, PointsGrid):
+        return {"points": encode_array(np.asarray(grid.points, dtype=float))}
     if not isinstance(grid, ParameterGrid):
         return None
     return [
@@ -366,14 +389,29 @@ def grid_to_spec(grid: Any) -> list[dict[str, Any]] | None:
     ]
 
 
-def grid_from_spec(axes: Any):
-    """Per-axis spec list -> :class:`~repro.landscape.grid.ParameterGrid`."""
+def grid_from_spec(spec: Any, points: bool = False):
+    """Grid spec -> :class:`~repro.landscape.grid.ParameterGrid`, or a
+    :class:`PointsGrid` when ``points=True`` (the ansatz-shaped
+    ``compute_indices`` path, the only one that accepts point lists)."""
     from ..landscape.grid import GridAxis, ParameterGrid
 
-    if not isinstance(axes, list) or not axes:
+    if isinstance(spec, dict) and "points" in spec:
+        if not points:
+            raise ProtocolError(
+                "invalid-spec",
+                "a points grid is accepted only by ansatz-shaped "
+                "compute_indices requests",
+            )
+        array = decode_array(spec["points"])
+        if array.dtype != np.float64 or array.ndim != 2 or not array.shape[0]:
+            raise ProtocolError(
+                "invalid-spec", "points grid must be a non-empty float64 (B, d) array"
+            )
+        return PointsGrid(array)
+    if not isinstance(spec, list) or not spec:
         raise ProtocolError("invalid-spec", "grid spec must be a non-empty list")
     built = []
-    for axis in axes:
+    for axis in spec:
         if not isinstance(axis, dict):
             raise ProtocolError("invalid-spec", "each grid axis must be an object")
         try:
@@ -524,7 +562,7 @@ def ansatz_from_spec(spec: Any):
 
 
 def _ansatz_function_from_spec(
-    spec: Mapping[str, Any], rng: np.random.Generator | None
+    spec: Mapping[str, Any], rng: np.random.Generator | None, grid: Any
 ):
     from ..landscape.generator import AnsatzCostFunction
 
@@ -539,7 +577,7 @@ def _ansatz_function_from_spec(
 
 
 def _zne_function_from_spec(
-    spec: Mapping[str, Any], rng: np.random.Generator | None
+    spec: Mapping[str, Any], rng: np.random.Generator | None, grid: Any
 ):
     from ..mitigation.zne import ZneConfig, ZneCostFunction
 
@@ -569,19 +607,64 @@ def _zne_function_from_spec(
     )
 
 
-#: Cost-function registry: ``cache_spec()["kind"]`` -> builder.
+def _slice_function_from_spec(
+    spec: Mapping[str, Any], rng: np.random.Generator | None, grid: Any
+):
+    """A Tables 2-4 slice: the request's grid is the slice grid (the
+    slice's ``cache_spec`` leaves the axes to the generator layer)."""
+    from ..experiments.slices import SliceCostFunction, SliceSpec
+    from ..landscape.grid import ParameterGrid
+
+    ansatz = ansatz_from_spec(spec.get("ansatz"))
+    shots = spec.get("shots")
+    try:
+        varying = tuple(int(index) for index in spec["varying"])
+        fixed_values = np.array(
+            [float(value) for value in spec["fixed_values"]], dtype=float
+        )
+        shots = None if shots is None else int(shots)
+    except (KeyError, TypeError, ValueError) as error:
+        raise ProtocolError("invalid-spec", f"invalid slice spec: {error}")
+    if (
+        len(varying) != 2
+        or varying[0] == varying[1]
+        or not all(0 <= index < ansatz.num_parameters for index in varying)
+        or fixed_values.shape != (ansatz.num_parameters,)
+    ):
+        raise ProtocolError(
+            "invalid-spec",
+            "slice spec needs two distinct varying parameter indices and "
+            f"{ansatz.num_parameters} fixed values",
+        )
+    if not isinstance(grid, ParameterGrid) or grid.ndim != 2:
+        raise ProtocolError("invalid-spec", "a slice needs a 2-axis grid")
+    return SliceCostFunction(
+        ansatz,
+        SliceSpec(varying=varying, fixed_values=fixed_values, grid=grid),
+        noise=noise_from_spec(spec.get("noise")),
+        shots=shots,
+        rng=rng,
+    )
+
+
+#: Cost-function registry: ``cache_spec()["kind"]`` -> builder
+#: ``(spec, rng, grid)``.
 FUNCTION_BUILDERS: dict[str, Callable[..., Any]] = {
     "ansatz": _ansatz_function_from_spec,
     "zne": _zne_function_from_spec,
+    "slice": _slice_function_from_spec,
 }
 
 
-def function_from_spec(spec: Any, rng: np.random.Generator | None = None):
+def function_from_spec(
+    spec: Any, rng: np.random.Generator | None = None, grid: Any = None
+):
     """Resolve a cost-function ``cache_spec`` payload into a callable.
 
     ``rng`` (decoded from the request's rng state, if any) is bound to
     the resolved function exactly where a local construction would bind
-    it, preserving the draw-order contract over the wire.
+    it, preserving the draw-order contract over the wire.  ``grid`` is
+    the request's resolved grid, which a ``slice`` function needs.
     """
     if not isinstance(spec, Mapping):
         raise ProtocolError("invalid-spec", "function spec must be an object")
@@ -599,14 +682,14 @@ def function_from_spec(spec: Any, rng: np.random.Generator | None = None):
             raise ProtocolError("invalid-spec", "sampler must be a string")
     except AttributeError:  # pragma: no cover - Mapping guarantees .get
         raise ProtocolError("invalid-spec", "function spec must be an object")
-    return builder(spec, rng)
+    return builder(spec, rng, grid)
 
 
 def validate_function_spec(spec: Any) -> None:
     """Structural check that :func:`function_from_spec` could resolve
     ``spec`` (registered kind + registered ansatz type).  Raises
-    :class:`ProtocolError` otherwise — the client uses this to decide
-    v2 vs the legacy pickle fallback without building anything."""
+    :class:`ProtocolError` otherwise — the client uses this to refuse
+    an unregistered payload before sending anything."""
     if not isinstance(spec, Mapping):
         raise ProtocolError("invalid-spec", "function spec must be an object")
     kind = spec.get("kind")
@@ -627,7 +710,7 @@ def validate_function_spec(spec: Any) -> None:
 def function_to_spec(function: Any) -> dict[str, Any] | None:
     """Cost function -> declarative spec, or ``None`` when the function
     cannot describe itself in registry terms (a plain closure, a test
-    double) — the caller then falls back to the legacy pickle path."""
+    double) — the client then refuses the request with ``invalid-spec``."""
     describe = getattr(function, "cache_spec", None)
     if describe is None:
         return None

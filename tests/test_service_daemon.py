@@ -5,7 +5,9 @@ Covers the protocol (every op, malformed input), the service semantics
 through one daemon), the failure modes the docs promise (no daemon ->
 transparent in-process fallback; daemon restart preserves the store;
 malformed requests return structured errors without killing the
-server), and the ``LandscapeGenerator(daemon=...)`` / CLI wiring.
+server; probes never hang on a listener that does not answer), the
+limits both fronts share (payload, idle, connection cap), and the
+``LandscapeGenerator(daemon=...)`` / CLI wiring.
 """
 
 from __future__ import annotations
@@ -64,30 +66,54 @@ def test_ping_and_is_alive(daemon):
     assert response["uptime"] >= 0.0
 
 
-def test_malformed_request_returns_structured_error(daemon):
-    """Garbage on the socket produces an error response, not a dead
-    server."""
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
-        raw.connect(str(daemon.socket_path))
-        with raw.makefile("rwb") as stream:
-            stream.write(b"this is not json\n")
-            stream.flush()
-            line = stream.readline()
-    assert b'"ok": false' in line
-    assert b"JSONDecodeError" in line
-    # The server survived and still answers.
-    assert _client(daemon).is_alive()
-
-
 def test_unknown_op_is_a_structured_error(daemon):
-    with pytest.raises(DaemonError, match="unknown op"):
-        _client(daemon)._request({"op": "teleport"})
+    client = _client(daemon)
+    with pytest.raises(DaemonError, match="unknown op") as refused:
+        client._request(client._frame("teleport"))
+    assert refused.value.code == "unknown-op"
     assert _client(daemon).is_alive()
 
 
-def test_compute_without_task_is_a_structured_error(daemon):
-    with pytest.raises(DaemonError, match="task"):
-        _client(daemon)._request({"op": "compute"})
+def test_probe_calls_are_bounded_against_a_mute_listener(tmp_path, monkeypatch):
+    """A listener that accepts connections but never answers cannot
+    hang a probe or maintenance call, even with the default
+    ``timeout=None``: each gives up after ``PROBE_TIMEOUT`` as an
+    unreachable daemon."""
+    from repro.service import DaemonUnavailable
+    from repro.service import client as client_module
+
+    monkeypatch.setattr(client_module, "PROBE_TIMEOUT", 0.5, raising=False)
+    path = tmp_path / "mute.sock"
+    calls = {
+        "is_alive": (),
+        "ping": (),
+        "stats": (),
+        "index": (),
+        "get": ("0" * 32,),
+        "invalidate": ("0" * 32,),
+        "shutdown": (),
+    }
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+        listener.bind(str(path))
+        listener.listen(2 * len(calls))
+        client = LandscapeClient(path)
+        for name, args in calls.items():
+            outcome: list = []
+
+            def call():
+                try:
+                    outcome.append(getattr(client, name)(*args))
+                except BaseException as error:  # noqa: BLE001 - checked below
+                    outcome.append(error)
+
+            thread = threading.Thread(target=call, daemon=True)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive(), f"{name}() still blocked after 5 s"
+            if name == "is_alive":
+                assert outcome == [False]
+            else:
+                assert isinstance(outcome[0], DaemonUnavailable), outcome
 
 
 def test_shot_noise_without_seed_is_rejected(daemon, ansatz, grid):
@@ -147,10 +173,13 @@ def test_generator_daemon_wiring(daemon, ansatz, grid):
     np.testing.assert_allclose(first.values, local.values, rtol=0.0, atol=1e-10)
 
 
-def test_concurrent_identical_requests_compute_once(daemon, grid):
+def test_concurrent_identical_requests_compute_once(
+    daemon, monkeypatch, ansatz, grid
+):
     """Single-flight dedup: N concurrent identical computes -> one
     computation, every client gets the same landscape."""
-    function = _SlowConstant(delay=0.4)
+    _slow_down(monkeypatch, "local_grid_search", delay=0.4)
+    function = cost_function(ansatz)
     results: list = []
     errors: list = []
     barrier = threading.Barrier(3)
@@ -177,18 +206,21 @@ def test_concurrent_identical_requests_compute_once(daemon, grid):
     # Followers either joined the flight or (if they lost the race
     # entirely) hit the store the leader populated.
     assert counters["deduped"] + counters["hits"] == 2
+    assert daemon._inflight == {}
 
 
-def test_failed_compute_releases_the_flight(daemon, grid):
+def test_failed_compute_releases_the_flight(daemon, monkeypatch, ansatz, grid):
     """A compute that raises propagates to every waiter and clears the
     in-flight slot so a later request can retry."""
-    function = _Explosive()
+    _explode(monkeypatch, "local_grid_search")
     client = _client(daemon)
+    function = cost_function(ansatz)
     with pytest.raises(DaemonError, match="boom"):
         client.get_or_compute(function, grid)
     assert daemon._inflight == {}
     with pytest.raises(DaemonError, match="boom"):
         client.get_or_compute(function, grid)
+    assert daemon._inflight == {}
 
 
 # -- failure modes ------------------------------------------------------------
@@ -389,10 +421,11 @@ def test_out_of_range_indices_are_a_daemon_error(daemon, ansatz, grid):
     assert client.is_alive()
 
 
-def test_concurrent_sparse_requests_dedup(daemon, grid):
+def test_concurrent_sparse_requests_dedup(daemon, monkeypatch, ansatz, grid):
     """Identical concurrent index sets single-flight into one
     evaluation, keyed on (dense spec, index set)."""
-    function = _SlowConstant(delay=0.4)
+    _slow_down(monkeypatch, "local_evaluate_indices", delay=0.4)
+    function = cost_function(ansatz)
     flat_indices = np.array([1, 5, 9])
     results: list = []
     errors: list = []
@@ -420,6 +453,7 @@ def test_concurrent_sparse_requests_dedup(daemon, grid):
     counters = _client(daemon).stats()["counters"]
     assert counters["sparse_computed"] == 1
     assert counters["sparse_deduped"] == 2
+    assert daemon._inflight == {}
 
 
 def test_evaluate_indices_falls_back_without_daemon(tmp_path, ansatz, grid):
@@ -553,26 +587,6 @@ def test_pipeline_config_validation():
         PipelineConfig(fraction=0.1, optimizer="bfgs")
 
 
-def test_pipeline_op_rejects_non_config_task(daemon, ansatz, grid):
-    import pickle
-
-    from repro.service.daemon import encode_blob
-
-    task = {
-        "function": cost_function(ansatz),
-        "grid": grid,
-        "config": {"fraction": 0.1},
-        "sample_rng": 0,
-        "batch_size": None,
-        "seed": None,
-        "shard_points": None,
-    }
-    with pytest.raises(DaemonError, match="PipelineConfig"):
-        _client(daemon)._request(
-            {"op": "pipeline", "task": encode_blob(pickle.dumps(task))}
-        )
-
-
 # -- CLI wiring ---------------------------------------------------------------
 
 
@@ -636,44 +650,32 @@ def test_cli_cache_stats_directory_and_daemon(daemon, tmp_path, capsys):
 # -- helpers ------------------------------------------------------------------
 
 
-class _SlowConstant:
-    """Picklable cost function whose many() sleeps once per chunk (to
-    hold a compute in flight while followers pile up)."""
+def _slow_down(monkeypatch, method: str, delay: float) -> None:
+    """Hold a daemon-side computation in flight: the daemon runs
+    in-process (workers=1), so patching the generator's local path
+    delays exactly the work a leader does while followers pile up."""
+    original = getattr(LandscapeGenerator, method)
 
-    num_qubits = 2
-    shots = None
+    def slow(self, *args, **kwargs):
+        time.sleep(delay)
+        return original(self, *args, **kwargs)
 
-    def __init__(self, delay: float):
-        self.delay = delay
-
-    def __call__(self, point) -> float:
-        return 0.0
-
-    def many(self, points) -> np.ndarray:
-        time.sleep(self.delay)
-        return np.zeros(np.asarray(points).shape[0])
-
-    def cache_spec(self) -> dict:
-        return {"kind": "slow-constant", "delay": self.delay}
+    monkeypatch.setattr(LandscapeGenerator, method, slow)
 
 
-class _Explosive:
-    """Picklable cost function that always fails server-side."""
+def _explode(monkeypatch, method: str) -> None:
+    """Make a daemon-side computation fail."""
 
-    num_qubits = 2
-    shots = None
-
-    def __call__(self, point) -> float:
+    def boom(self, *args, **kwargs):
         raise RuntimeError("boom")
 
-    def many(self, points):
-        raise RuntimeError("boom")
-
-    def cache_spec(self) -> dict:
-        return {"kind": "explosive"}
+    monkeypatch.setattr(LandscapeGenerator, method, boom)
 
 
-# -- TCP front: auth and limits ----------------------------------------------
+# -- the network front and the limits both fronts share ---------------------
+
+TRANSPORTS = ("unix", "tcp")
+PING = {"version": 2, "op": "ping", "token": "tok-alice"}
 
 
 def _tcp_tokens(tmp_path):
@@ -705,11 +707,21 @@ def _tcp_daemon(tmp_path, **overrides):
     return daemon
 
 
-def _tcp_send(daemon, message, timeout=30.0):
-    """One raw frame out, one response line back (b"" = closed)."""
+def _connect(daemon, transport, timeout=30.0) -> socket.socket:
+    """A raw connection to one of the daemon's two fronts."""
+    if transport == "tcp":
+        return socket.create_connection(daemon.tcp_address, timeout=timeout)
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(timeout)
+    raw.connect(str(daemon.socket_path))
+    return raw
+
+
+def _send(daemon, transport, message, timeout=30.0):
+    """One raw frame out, one response line back (None = closed)."""
     import json
 
-    with socket.create_connection(daemon.tcp_address, timeout=timeout) as conn:
+    with _connect(daemon, transport, timeout) as conn:
         payload = message if isinstance(message, bytes) else json.dumps(message).encode()
         conn.sendall(payload + b"\n")
         with conn.makefile("rb") as stream:
@@ -756,7 +768,7 @@ def test_bad_tokens_get_auth_errors_without_pool_work(tmp_path, token, detail):
         }
         if token is not None:
             frame["token"] = token
-        response = _tcp_send(daemon, frame)
+        response = _send(daemon, "tcp", frame)
         assert response["ok"] is False
         assert response["error"]["code"] == "auth"
         assert detail in response["error"]["message"]
@@ -778,18 +790,39 @@ def test_presented_token_must_be_valid_even_on_unix(tmp_path):
         with pytest.raises(DaemonError) as denied:
             client.ping()
         assert denied.value.code == "auth"
-        # ... while no token at all keeps the legacy trust boundary.
+        # ... while no token at all keeps the filesystem trust boundary.
         assert LandscapeClient(daemon.socket_path).ping()["tenant"] == "local"
     finally:
         daemon.close()
 
 
-def test_payload_over_limit_gets_too_large_then_disconnect(tmp_path):
+def test_unix_socket_is_owner_only(daemon):
+    assert daemon.socket_path.stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_malformed_request_returns_structured_error(tmp_path, transport):
+    """Garbage on either front produces an error response, not a dead
+    server."""
+    daemon = _tcp_daemon(tmp_path)
+    try:
+        response = _send(daemon, transport, b"this is not json")
+        assert response["ok"] is False
+        assert response["error"]["type"] == "JSONDecodeError"
+        assert response["error"]["code"] == "malformed"
+        # The server survived and still answers.
+        assert _send(daemon, transport, PING)["ok"]
+    finally:
+        daemon.close()
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_payload_over_limit_gets_too_large_then_disconnect(tmp_path, transport):
     daemon = _tcp_daemon(tmp_path, max_payload_bytes=2048)
     try:
         import json
 
-        with socket.create_connection(daemon.tcp_address, timeout=30.0) as conn:
+        with _connect(daemon, transport) as conn:
             conn.sendall(b"X" * 4096 + b"\n")
             with conn.makefile("rb") as stream:
                 response = json.loads(stream.readline())
@@ -797,38 +830,37 @@ def test_payload_over_limit_gets_too_large_then_disconnect(tmp_path):
                 assert response["error"]["code"] == "too-large"
                 assert stream.readline() == b"", "connection must close"
         # the daemon itself keeps serving
-        assert _tcp_send(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})["ok"]
+        assert _send(daemon, transport, PING)["ok"]
     finally:
         daemon.close()
 
 
-def test_idle_connections_are_disconnected(tmp_path):
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_idle_connections_are_disconnected(tmp_path, transport):
     daemon = _tcp_daemon(tmp_path, idle_timeout=0.4)
     try:
-        with socket.create_connection(daemon.tcp_address, timeout=30.0) as conn:
+        with _connect(daemon, transport) as conn:
             start = time.monotonic()
             with conn.makefile("rb") as stream:
                 assert stream.readline() == b"", "idle connection must be dropped"
             assert time.monotonic() - start < 10.0
-        assert _tcp_send(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})["ok"]
+        assert _send(daemon, transport, PING)["ok"]
     finally:
         daemon.close()
 
 
-def test_connection_cap_sheds_with_retryable_error(tmp_path):
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_connection_cap_sheds_with_retryable_error(tmp_path, transport):
     import json
 
     daemon = _tcp_daemon(tmp_path, max_connections=1)
     try:
-        with socket.create_connection(daemon.tcp_address, timeout=30.0) as held:
-            held.sendall(
-                json.dumps({"version": 2, "op": "ping", "token": "tok-alice"}).encode()
-                + b"\n"
-            )
+        with _connect(daemon, transport) as held:
+            held.sendall(json.dumps(PING).encode() + b"\n")
             held_stream = held.makefile("rb")
             assert json.loads(held_stream.readline())["ok"] is True
 
-            response = _tcp_send(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})
+            response = _send(daemon, transport, PING)
             assert response["ok"] is False
             assert response["error"]["code"] == "overloaded"
             assert response["error"]["retryable"] is True
@@ -836,7 +868,7 @@ def test_connection_cap_sheds_with_retryable_error(tmp_path):
         # capacity frees up once the held connection goes away
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            retry = _tcp_send(daemon, {"version": 2, "op": "ping", "token": "tok-alice"})
+            retry = _send(daemon, transport, PING)
             if retry and retry.get("ok"):
                 break
             time.sleep(0.05)
@@ -846,38 +878,63 @@ def test_connection_cap_sheds_with_retryable_error(tmp_path):
         daemon.close()
 
 
-def test_legacy_pickle_op_over_tcp_is_refused(tmp_path, ansatz):
-    """An unversioned (v1, pickled-task) frame over TCP never reaches a
-    handler: structured ``unsupported-version``, nothing unpickled."""
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_unversioned_frame_is_refused(tmp_path, ansatz, transport):
+    """An unversioned frame (the retired pickled-task format) never
+    reaches a handler on either front: structured
+    ``unsupported-version``, nothing decoded."""
     import base64
     import pickle
 
     daemon = _tcp_daemon(tmp_path)
     try:
         task = base64.b64encode(pickle.dumps({"ansatz": ansatz})).decode()
-        response = _tcp_send(daemon, {"op": "evaluate", "task": task})
+        response = _send(daemon, transport, {"op": "evaluate", "task": task})
         assert response["ok"] is False
         assert response["error"]["code"] == "unsupported-version"
+        assert response["version"] == 2
         with daemon._counter_lock:
             assert daemon._counters["evaluations"] == 0
+            assert daemon._tenant_counters == {}
     finally:
         daemon.close()
 
 
-def test_tcp_client_refuses_unspecable_payloads_client_side(tmp_path):
+class _Unregistered:
+    """A cost function whose ``cache_spec`` names no registered kind."""
+
+    num_qubits = 2
+    shots = None
+
+    def __call__(self, point) -> float:
+        return 0.0
+
+    def cache_spec(self) -> dict:
+        return {"kind": "unregistered"}
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_client_refuses_unspecable_payloads_client_side(tmp_path, transport):
     """A cost function that cannot describe itself declaratively fails
-    in the client over TCP (the pickle fallback is Unix-only)."""
+    in the client, on either transport, before anything is sent."""
     daemon = _tcp_daemon(tmp_path)
     try:
-        host, port = daemon.tcp_address
-        client = LandscapeClient(
-            f"tcp://{host}:{port}", fallback=False, token="tok-alice"
-        )
+        if transport == "tcp":
+            host, port = daemon.tcp_address
+            target = f"tcp://{host}:{port}"
+        else:
+            target = daemon.socket_path
+        client = LandscapeClient(target, fallback=False, token="tok-alice")
         grid = qaoa_grid(p=1, resolution=(4, 4))
-        with pytest.raises(DaemonError) as refused:
-            client.get_or_compute(_SlowConstant(0.0), grid)
-        assert refused.value.code == "invalid-spec"
+        for call in (
+            lambda function: client.get_or_compute(function, grid),
+            lambda function: client.evaluate_indices(function, grid, [0, 1]),
+        ):
+            for function in (_Unregistered(), lambda point: 0.0):
+                with pytest.raises(DaemonError) as refused:
+                    call(function)
+                assert refused.value.code == "invalid-spec"
         with daemon._counter_lock:
-            assert daemon._counters["computed"] == 0
+            assert daemon._counters["requests"] == 0
     finally:
         daemon.close()
