@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
@@ -714,12 +715,20 @@ def _command_cache(args: argparse.Namespace) -> int:
         return 0
     print(f"{len(entries)} cached landscape(s) in {store.root} "
           f"({store.total_bytes()} payload bytes), LRU first:")
-    for entry in entries:
-        print(
-            f"  {entry.key}  {entry.payload_bytes:>8d} B  "
-            f"access {entry.access:>4d}  {entry.label}"
-        )
+    _print_cache_rows(vars(entry) for entry in entries)
     return 0
+
+
+def _print_cache_rows(entries) -> None:
+    """One ``cache list`` row per entry (fields as in the daemon's
+    ``index`` op): key, payload bytes, last use as a UTC ISO-8601 time,
+    and label."""
+    for entry in entries:
+        used = datetime.fromtimestamp(entry["access"] / 1e9, timezone.utc)
+        print(
+            f"  {entry['key']}  {entry['payload_bytes']:>8d} B  "
+            f"{used.isoformat(timespec='milliseconds')}  {entry['label']}"
+        )
 
 
 def _cache_from_daemon(client, action: str) -> int:
@@ -782,11 +791,7 @@ def _cache_from_daemon(client, action: str) -> int:
         print("no cached landscapes served by the daemon")
         return 0
     print(f"{len(entries)} cached landscape(s), LRU first:")
-    for entry in entries:
-        print(
-            f"  {entry['key']}  {entry['payload_bytes']:>8d} B  "
-            f"access {entry['access']:>4d}  {entry['label']}"
-        )
+    _print_cache_rows(entries)
     return 0
 
 

@@ -240,6 +240,25 @@ class LandscapeClient:
             raise self._unspecable(op)
         return self._frame(op, function=function_spec, grid=grid_spec, **fields)
 
+    def _request_or_local(
+        self,
+        frame: dict[str, Any],
+        fallback: Callable[[], Any] | None,
+        local: Callable[[], Any],
+    ) -> tuple[dict[str, Any] | None, Any]:
+        """``(response, None)`` from the daemon, or ``(None, result)`` when
+        none is reachable, computed by the caller's ``fallback`` if given,
+        else by ``local``.  The client's ``fallback=False`` wins even over
+        a fallback callable (the generator wiring always passes one)."""
+        try:
+            return self._request(frame), None
+        except DaemonUnavailable:
+            if not self.fallback:
+                raise
+            self.fallbacks += 1
+            self.last_served_by = "local"
+            return None, (fallback or local)()
+
     # -- probes and maintenance --------------------------------------------
 
     def is_alive(self) -> bool:
@@ -320,21 +339,15 @@ class LandscapeClient:
             shard_points=shard_points,
             label=label,
         )
-        try:
-            response = self._request(frame)
-        except DaemonUnavailable:
-            # fallback=False is the loud-failure configuration: it wins
-            # even when the caller supplied a fallback callable (the
-            # generator wiring always does).
-            if not self.fallback:
-                raise
-            self.fallbacks += 1
-            self.last_served_by = "local"
-            if fallback is not None:
-                return fallback()
-            return _local_generator(
+        response, local = self._request_or_local(
+            frame,
+            fallback,
+            lambda: _local_generator(
                 function, grid, batch_size, seed, shard_points
-            ).local_grid_search(label)
+            ).local_grid_search(label),
+        )
+        if response is None:
+            return local
         landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
         if response.get("deduped"):
             self.last_served_by = "daemon-deduped"
@@ -382,18 +395,15 @@ class LandscapeClient:
             shard_points=shard_points,
             rng=None if rng is None else encode_rng_state(rng),
         )
-        try:
-            response = self._request(frame)
-        except DaemonUnavailable:
-            if not self.fallback:
-                raise
-            self.fallbacks += 1
-            self.last_served_by = "local"
-            if fallback is not None:
-                return np.asarray(fallback())
-            return _local_generator(
+        response, local = self._request_or_local(
+            frame,
+            fallback,
+            lambda: _local_generator(
                 function, grid, batch_size, seed, shard_points
-            ).local_evaluate_indices(indices)
+            ).local_evaluate_indices(indices),
+        )
+        if response is None:
+            return np.asarray(local)
         values = decode_array(response["values"])
         _writeback_rng(rng, response)
         if response.get("readthrough"):
@@ -486,17 +496,17 @@ class LandscapeClient:
             shard_points=shard_points,
             rng=None if rng is None else encode_rng_state(rng),
         )
-        try:
-            response = self._request(frame)
-        except DaemonUnavailable:
-            if not self.fallback:
-                raise
-            self.fallbacks += 1
-            self.last_served_by = "local"
-            if fallback is not None:
-                return fallback()
-            generator = _local_generator(function, grid, batch_size, seed, shard_points)
-            return run_pipeline(generator, config, sample_rng)
+        response, local = self._request_or_local(
+            frame,
+            fallback,
+            lambda: run_pipeline(
+                _local_generator(function, grid, batch_size, seed, shard_points),
+                config,
+                sample_rng,
+            ),
+        )
+        if response is None:
+            return local
         landscape = Landscape.from_bytes(decode_blob(response["landscape"]))
         _writeback_rng(rng, response)
         if isinstance(sample_rng, np.random.Generator):

@@ -15,11 +15,11 @@ daemon
   requests for the same :class:`~repro.service.store.LandscapeSpec`
   key join one in-flight computation instead of racing the pool — the
   leader computes, followers wait on the result;
-- **makes LRU accounting single-writer**: every store read/write runs
-  under the daemon's store lock in one process, which closes the
-  documented last-writer-wins hazard of multiple processes bumping the
-  access counter independently (the ``flock`` fallback in the store
-  remains for direct multi-process use without a daemon).
+- **serializes store maintenance**: every store read/write runs under
+  the daemon's store lock, so eviction and the hit/miss counters see
+  one consistent store.  LRU recency itself needs no lock: it is each
+  payload file's mtime (see :mod:`repro.service.store`), so processes
+  sharing a store root directly keep exact recency too.
 
 Wire protocol — **JSON lines**, one dialect on both transports
 (:mod:`repro.service.protocol`): each request is a single
@@ -62,7 +62,8 @@ op                  meaning
                     its final state, which is what lets the daemon-backed
                     paths register in ``tests/equivalence/harness.py``
 ``invalidate``      drop one store entry by key
-``index``           list cached entries (key, label, bytes, access)
+``index``           list cached entries, LRU first (key, label, bytes,
+                    ``access`` = last use in ns since the epoch)
 ``stats``           per-op counters (dense hits, sparse read-through
                     hits, pipeline runs, dedups, errors) + store summary
 ``shutdown``        stop serving (the socket file is removed on close)
@@ -208,7 +209,7 @@ class LandscapeDaemon:
             path limit).
         workers: process count for the persistent pool.  ``1`` serves
             every request in-process (no pool) — still useful for the
-            shared cache, single-flight dedup, and single-writer LRU.
+            shared cache and single-flight dedup.
         cache_dir: directory for the daemon's
             :class:`~repro.service.store.LandscapeStore`.  ``None``
             (and no ``store``) disables caching: every ``compute``

@@ -12,17 +12,19 @@ and share the same artifact.
 Store layout (one directory, two files per entry)::
 
     <root>/
-        <key>.npz    # Landscape.save payload (values + axes + metadata)
-        <key>.json   # manifest: spec payload, label, sizes, access stamp
+        <key>.npz    # Landscape.save payload; its mtime is the LRU stamp
+        <key>.json   # write-once manifest: key, spec, label, executions, created
 
 The manifest keeps the full spec next to the payload so entries are
 self-describing (``oscar-repro cache list`` prints them).  Eviction is
-LRU over a byte budget: every read bumps a monotonically increasing
-access stamp (persisted in the manifest, so recency survives process
+LRU over a byte budget: ``put`` and every hit set the payload's mtime
+from a per-instance monotone ns clock (no file write, no lock, survives
 restarts), and :meth:`LandscapeStore.put` drops the least recently used
 entries until the store fits ``max_bytes`` again.  The entry being
 written is exempt, so a single landscape larger than the budget still
-caches.
+caches.  Recency is only as fine as the filesystem's timestamps (ns on
+ext4, xfs, btrfs and tmpfs; ties broken by key), and a backward step of
+the wall clock can only change which entry is evicted first.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ class StoreEntry:
     key: str
     label: str
     payload_bytes: int
-    access: int
+    access: int  # last use (the payload's mtime), ns since the epoch
     created: float
     spec_payload: Mapping[str, Any]
     path: Path
@@ -224,13 +226,9 @@ class LandscapeStore:
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
+        self._last_stamp = 0
 
     # -- key/path plumbing -------------------------------------------------
-
-    @staticmethod
-    def key_for(spec: LandscapeSpec) -> str:
-        """The cache key a spec resolves to."""
-        return spec.key()
 
     def _payload_path(self, key: str) -> Path:
         return self.root / f"{key}.npz"
@@ -265,40 +263,13 @@ class LandscapeStore:
         finally:
             temp.unlink(missing_ok=True)
 
-    def _next_access_stamp(self) -> int:
-        """Monotone LRU stamp from an O(1) counter file.
-
-        The read-modify-write runs under an advisory ``flock`` on a
-        sidecar lock file where the platform provides one, so
-        concurrent processes never hand out duplicate stamps (which
-        would let eviction's tie-break drop a just-read entry).  Falls
-        back to a manifest scan when the counter is missing or damaged
-        (hand-pruned store), so recency never resets to zero.
-        """
-        counter_path = self.root / "_counter.json"
-
-        def bump() -> int:
-            try:
-                stamp = int(json.loads(counter_path.read_text())["next"])
-            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                stamps = [entry.access for entry in self.entries()]
-                stamp = (max(stamps) + 1) if stamps else 1
-            self._write_atomic(
-                counter_path,
-                lambda path: path.write_text(json.dumps({"next": stamp + 1})),
-            )
-            return stamp
-
-        try:
-            import fcntl
-        except ImportError:  # non-POSIX: unlocked last-writer-wins
-            return bump()
-        with open(self.root / "_counter.lock", "a+") as lock_file:
-            fcntl.flock(lock_file, fcntl.LOCK_EX)
-            try:
-                return bump()
-            finally:
-                fcntl.flock(lock_file, fcntl.LOCK_UN)
+    def _stamp(self, payload_path: Path) -> None:
+        """Mark an entry used now via its payload's mtime, set explicitly
+        and strictly increasing per instance so that a ``put`` right after
+        a ``get`` never reads as older under the kernel's coarser clock."""
+        stamp = max(time.time_ns(), self._last_stamp + 1)
+        self._last_stamp = stamp
+        os.utime(payload_path, ns=(stamp, stamp))
 
     # -- core operations ---------------------------------------------------
 
@@ -308,7 +279,7 @@ class LandscapeStore:
         return self._payload_path(key).exists() and self._manifest_path(key).exists()
 
     def get(self, spec_or_key: LandscapeSpec | str) -> Landscape | None:
-        """Load a cached landscape (bumping its LRU stamp), or ``None``.
+        """Load a cached landscape (marking it recently used), or ``None``.
 
         Any read failure — a concurrent writer or eviction racing this
         load, a damaged payload — degrades to a cache miss rather than
@@ -317,18 +288,15 @@ class LandscapeStore:
         key = self._resolve_key(spec_or_key)
         if not self.contains(key):
             return None
-        manifest = self._read_manifest(self._manifest_path(key))
-        if manifest is None:
-            return None
+        payload_path = self._payload_path(key)
         try:
-            landscape = Landscape.load(self._payload_path(key))
+            landscape = Landscape.load(payload_path)
         except Exception:
             return None
-        manifest["access"] = self._next_access_stamp()
-        self._write_atomic(
-            self._manifest_path(key),
-            lambda path: path.write_text(json.dumps(manifest, indent=1)),
-        )
+        try:
+            self._stamp(payload_path)
+        except OSError:  # evicted after the load: the read still stands
+            pass
         return landscape
 
     def put(self, spec: LandscapeSpec, landscape: Landscape) -> str:
@@ -342,13 +310,12 @@ class LandscapeStore:
         key = spec.key()
         payload_path = self._payload_path(key)
         self._write_atomic(payload_path, landscape.save)
+        self._stamp(payload_path)
         manifest = {
             "key": key,
             "spec": spec.payload(),
             "label": landscape.label,
             "circuit_executions": int(landscape.circuit_executions),
-            "payload_bytes": payload_path.stat().st_size,
-            "access": self._next_access_stamp(),
             "created": time.time(),
         }
         self._write_atomic(
@@ -383,9 +350,11 @@ class LandscapeStore:
         key = self._resolve_key(spec_or_key)
         removed = False
         for path in (self._payload_path(key), self._manifest_path(key)):
-            if path.exists():
+            try:
                 path.unlink()
-                removed = True
+            except FileNotFoundError:
+                continue  # never written, or another process removed it
+            removed = True
         return removed
 
     def clear(self) -> int:
@@ -398,28 +367,30 @@ class LandscapeStore:
     def entries(self) -> list[StoreEntry]:
         """All cached entries, least recently used first."""
         out = []
-        for manifest_path in sorted(self.root.glob("*.json")):
-            if ".tmp-" in manifest_path.name or manifest_path.name.startswith("_"):
-                continue  # in-flight writes and the access counter
+        for manifest_path in self.root.glob("*.json"):
+            if ".tmp-" in manifest_path.name:
+                continue  # in-flight writes
             manifest = self._read_manifest(manifest_path)
             if manifest is None or "key" not in manifest:
                 continue
             key = str(manifest["key"])
             payload_path = self._payload_path(key)
-            if not payload_path.exists():
+            try:
+                status = payload_path.stat()
+            except OSError:
                 continue
             out.append(
                 StoreEntry(
                     key=key,
                     label=str(manifest.get("label", "")),
-                    payload_bytes=int(manifest.get("payload_bytes", 0)),
-                    access=int(manifest.get("access", 0)),
+                    payload_bytes=status.st_size,
+                    access=status.st_mtime_ns,
                     created=float(manifest.get("created", 0.0)),
                     spec_payload=manifest.get("spec", {}),
                     path=payload_path,
                 )
             )
-        out.sort(key=lambda entry: entry.access)
+        out.sort(key=lambda entry: (entry.access, entry.key))
         return out
 
     def total_bytes(self) -> int:

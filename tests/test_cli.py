@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from datetime import datetime, timedelta
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import LandscapeStore
 
 
 def test_parser_requires_command():
@@ -210,6 +213,15 @@ def test_cache_list_and_clear_commands(capsys, tmp_path):
     listing = capsys.readouterr().out
     assert "1 cached landscape(s)" in listing
     assert "grid-search" in listing
+    (entry,) = LandscapeStore(store_dir).entries()
+    (row,) = [line for line in listing.splitlines() if entry.key in line]
+    key, size, unit, used, label = row.split()
+    assert (key, int(size), unit, label) == (
+        entry.key, entry.payload_bytes, "B", "grid-search"
+    )
+    last_use = datetime.fromisoformat(used)
+    assert last_use.utcoffset() == timedelta(0)
+    assert abs(last_use.timestamp() - entry.access / 1e9) < 1e-3
     assert main(["cache", "clear", "--cache-dir", store_dir]) == 0
     assert "cleared 1" in capsys.readouterr().out
     assert main(["cache", "list", "--cache-dir", store_dir]) == 0

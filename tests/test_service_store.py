@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -264,6 +265,20 @@ def test_invalidate_and_clear(qaoa, grid, tmp_path):
     assert store.entries() == []
 
 
+def test_invalidate_tolerates_files_another_process_removed(tmp_path, monkeypatch):
+    """Two evictors racing on one root: a file that was there when
+    checked but gone when unlinked is not an error, and only files this
+    call removed count as a removal."""
+    store = LandscapeStore(tmp_path)
+    spec, landscape = _tiny_landscape(0)
+    store.put(spec, landscape)
+    (tmp_path / f"{spec.key()}.npz").unlink()  # the other evictor won
+    monkeypatch.setattr(Path, "exists", lambda self, *args, **kwargs: True)
+    assert store.invalidate(spec) is True  # this call removed the manifest
+    assert store.invalidate(spec) is False
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- LRU eviction --------------------------------------------------------------
 
 
@@ -322,6 +337,83 @@ def test_entries_listing_orders_by_recency(tmp_path):
     ordered = [entry.key for entry in store.entries()]
     assert ordered[-1] == pairs[0][0].key()
     assert ordered[0] == pairs[1][0].key()
+
+
+def test_hit_writes_no_file(tmp_path, monkeypatch):
+    """A hit only moves the payload's mtime: with every rename failing
+    (a full disk), ``get`` still serves the landscape and reorders the
+    LRU, and no manifest or counter file is touched."""
+    store = LandscapeStore(tmp_path)
+    pairs = [_tiny_landscape(seed) for seed in range(3)]
+    for spec, landscape in pairs:
+        store.put(spec, landscape)
+    manifest = tmp_path / f"{pairs[0][0].key()}.json"
+    before = manifest.read_bytes()
+    renames = []
+
+    def full_disk(*args, **kwargs):
+        renames.append(args)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    served = store.get(pairs[0][0])
+    assert served is not None
+    np.testing.assert_array_equal(served.values, pairs[0][1].values)
+    assert renames == []
+    assert store.entries()[-1].key == pairs[0][0].key()
+    assert manifest.read_bytes() == before
+    assert list(tmp_path.glob("_counter*")) == []
+
+
+def test_instances_sharing_a_root_share_recency(tmp_path):
+    """Two stores on one root (the direct multi-process case) interleave
+    their reads; a fresh third instance sees that order, evicts the
+    least recently used entry, and the root holds only entry files."""
+    root = tmp_path / "root"
+    first, second = LandscapeStore(root), LandscapeStore(root)
+    pairs = [_tiny_landscape(seed) for seed in range(3)]
+    for spec, landscape in pairs:
+        first.put(spec, landscape)
+    assert second.get(pairs[0][0]) is not None
+    assert first.get(pairs[2][0]) is not None
+    assert second.get(pairs[1][0]) is not None
+
+    fresh = LandscapeStore(root)
+    order = [pairs[index][0].key() for index in (0, 2, 1)]
+    assert [entry.key for entry in fresh.entries()] == order
+
+    spec3, landscape3 = _tiny_landscape(3)
+    sizer = LandscapeStore(tmp_path / "sizer")
+    sizer.put(spec3, landscape3)
+    sizes = {entry.key: entry.payload_bytes for entry in fresh.entries()}
+    # Room for everything but the least recently used entry.
+    fresh.max_bytes = (
+        sum(sizes.values()) - sizes[order[0]] + sizer.entries()[0].payload_bytes
+    )
+    fresh.put(spec3, landscape3)
+    kept = [entry.key for entry in fresh.entries()]
+    assert kept == order[1:] + [spec3.key()]
+    assert sorted(path.name for path in root.iterdir()) == sorted(
+        f"{key}.{suffix}" for key in kept for suffix in ("npz", "json")
+    )
+
+
+def test_old_manifest_fields_are_ignored(tmp_path):
+    """Manifests written with an ``access`` stamp and ``payload_bytes``
+    still list and serve; size and recency come from the payload."""
+    store = LandscapeStore(tmp_path)
+    spec, landscape = _tiny_landscape(0)
+    store.put(spec, landscape)
+    manifest_path = tmp_path / f"{spec.key()}.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(access=7, payload_bytes=1)
+    manifest_path.write_text(json.dumps(manifest))
+    (tmp_path / "_counter.json").write_text(json.dumps({"next": 8}))
+    (entry,) = store.entries()
+    payload = tmp_path / f"{spec.key()}.npz"
+    assert entry.payload_bytes == payload.stat().st_size
+    assert entry.access == payload.stat().st_mtime_ns
+    assert store.get(spec) is not None
 
 
 # -- multi-tenant namespaces (TenantStores) -----------------------------------
