@@ -129,12 +129,15 @@ class Landscape:
     def save(self, path: str | Path) -> None:
         """Serialise to ``.npz`` (values + axis definitions + metadata).
 
+        The archive is stored, not deflated: zlib saves only about a
+        quarter on float landscapes and costs several times the encode
+        and decode time.  :meth:`load` reads compressed archives too.
         Missing parent directories are created, so nested store/result
         layouts save without ceremony.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(path, **self._payload_arrays())
+        np.savez(path, **self._payload_arrays())
 
     @classmethod
     def load(cls, path: str | Path) -> "Landscape":
@@ -146,12 +149,12 @@ class Landscape:
         """The :meth:`save` payload as in-memory bytes.
 
         This is the wire format of the landscape daemon
-        (:mod:`repro.service.daemon`): one compressed ``.npz`` blob,
-        identical to what :meth:`save` writes, so a served landscape and
-        a stored landscape are the same artifact.
+        (:mod:`repro.service.daemon`): one uncompressed ``.npz`` blob in
+        the format :meth:`save` writes, so the daemon serves a stored
+        landscape by shipping its payload file unchanged.
         """
         buffer = io.BytesIO()
-        np.savez_compressed(buffer, **self._payload_arrays())
+        np.savez(buffer, **self._payload_arrays())
         return buffer.getvalue()
 
     @classmethod

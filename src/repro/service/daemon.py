@@ -39,7 +39,8 @@ op                  meaning
 ``compute``         ``get_or_compute`` for a ``(function, grid, ...)``
                     spec: store hit, else single-flighted computation on
                     the persistent pool; returns the landscape as base64
-                    ``.npz`` plus its store key
+                    ``.npz`` plus its store key (a hit ships the stored
+                    payload file's bytes unchanged)
 ``compute_indices`` sparse evaluation of an arbitrary flat-index set
                     (OSCAR's sampling path) through the persistent
                     pool.  Function-shaped requests get the full service
@@ -105,6 +106,7 @@ from typing import Any, BinaryIO, Callable
 import numpy as np
 
 from ..landscape.grid import validate_flat_indices
+from ..landscape.landscape import Landscape
 from .protocol import (
     DEFAULT_TENANT,
     PROTOCOL_VERSION,
@@ -795,15 +797,11 @@ class LandscapeDaemon:
         if not isinstance(key, str):
             raise ProtocolError("malformed", "get needs a string 'key'")
         store = self.tenants.store_for(tenant)
-        landscape = None
+        blob = None
         if store is not None:
             with self._store_lock:
-                landscape = store.get(key)
-        return {
-            "landscape": None
-            if landscape is None
-            else encode_blob(landscape.to_bytes())
-        }
+                blob = store.get_bytes(key)
+        return {"landscape": None if blob is None else encode_blob(blob)}
 
     def _v2_invalidate(
         self, request: dict[str, Any], tenant: str
@@ -857,41 +855,52 @@ class LandscapeDaemon:
         label = str(request.get("label", "landscape"))
         store = self.tenants.store_for(tenant)
 
-        def produce() -> tuple[Any, bool]:
+        def produce() -> tuple[bytes, bool]:
             if store is not None:
                 with self._store_lock:
-                    cached = store.get(spec)
-                if cached is not None:
+                    blob = store.get_bytes(spec)
+                if blob is not None:
                     self._bump("hits")
-                    return cached, True
+                    return blob, True
             with self._store_lock:
                 shared, _owner = self.tenants.read_through(spec, tenant)
-                if shared is not None and store is not None:
-                    store.put(spec, shared)
+                if shared is not None:
+                    blob = self._cache_and_encode(store, spec, shared)
             if shared is not None:
                 self._bump("hits")
-                return shared, True
+                return blob, True
             self._bump("misses")
             self._bump("computed")
             landscape = generator.local_grid_search(label)
-            if store is not None:
-                with self._store_lock:
-                    store.put(spec, landscape)
-            return landscape, False
+            with self._store_lock:
+                return self._cache_and_encode(store, spec, landscape), False
 
-        (landscape, hit), deduped = self._single_flight(spec.key(), produce)
+        (blob, hit), deduped = self._single_flight(spec.key(), produce)
         if deduped and store is not None:
             # A follower joined another tenant's flight: the result
             # belongs in this tenant's namespace too.
             with self._store_lock:
-                if store.get(spec) is None:
-                    store.put(spec, landscape)
+                if not store.contains(spec):
+                    store.put(spec, Landscape.from_bytes(blob))
         return {
-            "landscape": encode_blob(landscape.to_bytes()),
+            "landscape": encode_blob(blob),
             "key": spec.key(),
             "hit": hit,
             "deduped": deduped,
         }
+
+    @staticmethod
+    def _cache_and_encode(
+        store: LandscapeStore | None, spec, landscape: Landscape
+    ) -> bytes:
+        """The wire bytes of a landscape about to be served, encoded
+        once: with a store, ``put`` writes them and the response ships
+        the file it wrote.  Call with the store lock held."""
+        if store is None:
+            return landscape.to_bytes()
+        store.put(spec, landscape)
+        blob = store.get_bytes(spec)
+        return landscape.to_bytes() if blob is None else blob
 
     def _v2_compute_indices(
         self, request: dict[str, Any], tenant: str

@@ -12,8 +12,9 @@ the authenticated TCP listener):
   (:func:`ansatz_from_spec`, :func:`function_from_spec`,
   :func:`grid_from_spec`), so a request can only ever name a registered
   type, never ship code;
-- binary payloads are explicit codecs: landscapes stay
-  ``Landscape.to_bytes``/``from_bytes`` (base64 ``.npz``), numeric
+- binary payloads are explicit codecs: landscapes are base64 of an
+  uncompressed ``.npz`` in the ``Landscape.to_bytes`` format (a store
+  hit ships the payload file as it is; ``from_bytes`` decodes), numeric
   arrays are :func:`encode_array`/:func:`decode_array` (dtype-allowlisted
   raw bytes), rng state is :func:`encode_rng_state` (the numpy
   bit-generator state dict, JSON-ified);

@@ -12,13 +12,17 @@ and share the same artifact.
 Store layout (one directory, two files per entry)::
 
     <root>/
-        <key>.npz    # Landscape.save payload; its mtime is the LRU stamp
+        <key>.npz    # uncompressed Landscape.save payload = the wire bytes;
+                     # its mtime is the LRU stamp
         <key>.json   # write-once manifest: key, spec, label, executions, created
 
-The manifest keeps the full spec next to the payload so entries are
-self-describing (``oscar-repro cache list`` prints them).  Eviction is
-LRU over a byte budget: ``put`` and every hit set the payload's mtime
-from a per-instance monotone ns clock (no file write, no lock, survives
+Because the payload is already in wire form, a hit is a file read
+(:meth:`LandscapeStore.get_bytes`) with no decode or re-encode.  Entries
+written compressed by older versions still load and serve.  The manifest
+keeps the full spec next to the payload so entries are self-describing
+(``oscar-repro cache list`` prints them).  Eviction is LRU over a byte
+budget: ``put`` and every hit set the payload's mtime from a
+per-instance monotone ns clock (no file write, no lock, survives
 restarts), and :meth:`LandscapeStore.put` drops the least recently used
 entries until the store fits ``max_bytes`` again.  The entry being
 written is exempt, so a single landscape larger than the budget still
@@ -30,9 +34,12 @@ the wall clock can only change which entry is evicted first.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import re
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -45,6 +52,7 @@ __all__ = ["LandscapeSpec", "LandscapeStore", "StoreEntry", "TenantStores"]
 #: Hex characters of the sha256 digest used as the cache key (128 bits:
 #: collision-safe for any realistic store size, short enough for ls).
 _KEY_HEX = 32
+_KEY_PATTERN = re.compile(f"[0-9a-f]{{{_KEY_HEX}}}")
 
 
 def _canonical(value: Any) -> Any:
@@ -237,10 +245,13 @@ class LandscapeStore:
         return self.root / f"{key}.json"
 
     @staticmethod
-    def _resolve_key(spec_or_key: LandscapeSpec | str) -> str:
+    def _resolve_key(spec_or_key: LandscapeSpec | str) -> str | None:
+        """The cache key, or ``None`` for a string that is not one, so a
+        raw key from a request can never name a path outside the root."""
         if isinstance(spec_or_key, LandscapeSpec):
             return spec_or_key.key()
-        return str(spec_or_key)
+        key = str(spec_or_key)
+        return key if _KEY_PATTERN.fullmatch(key) else None
 
     def _read_manifest(self, path: Path) -> dict[str, Any] | None:
         try:
@@ -276,28 +287,46 @@ class LandscapeStore:
     def contains(self, spec_or_key: LandscapeSpec | str) -> bool:
         """Whether both payload and manifest exist for the key."""
         key = self._resolve_key(spec_or_key)
-        return self._payload_path(key).exists() and self._manifest_path(key).exists()
+        return (
+            key is not None
+            and self._payload_path(key).exists()
+            and self._manifest_path(key).exists()
+        )
 
-    def get(self, spec_or_key: LandscapeSpec | str) -> Landscape | None:
-        """Load a cached landscape (marking it recently used), or ``None``.
+    def get_bytes(self, spec_or_key: LandscapeSpec | str) -> bytes | None:
+        """The cached payload file's bytes (marking it recently used), or
+        ``None``.
 
-        Any read failure — a concurrent writer or eviction racing this
-        load, a damaged payload — degrades to a cache miss rather than
-        an exception, so the caller simply recomputes.
+        The bytes are in the :meth:`Landscape.to_bytes` format (or its
+        compressed form, for an entry an older version wrote), so the
+        daemon ships them as they are.  They are checked as a zip archive
+        first (every member's CRC), and any read failure — a concurrent
+        writer or eviction racing this read, a truncated or corrupted
+        payload — degrades to a cache miss rather than an exception, so
+        the caller simply recomputes.
         """
         key = self._resolve_key(spec_or_key)
-        if not self.contains(key):
+        if key is None or not self.contains(key):
             return None
         payload_path = self._payload_path(key)
         try:
-            landscape = Landscape.load(payload_path)
+            blob = payload_path.read_bytes()
+            with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+                if archive.testzip() is not None:
+                    return None
         except Exception:
             return None
         try:
             self._stamp(payload_path)
-        except OSError:  # evicted after the load: the read still stands
+        except OSError:  # evicted after the read: the read still stands
             pass
-        return landscape
+        return blob
+
+    def get(self, spec_or_key: LandscapeSpec | str) -> Landscape | None:
+        """Load a cached landscape (marking it recently used), or ``None``:
+        :meth:`get_bytes`, decoded."""
+        blob = self.get_bytes(spec_or_key)
+        return None if blob is None else Landscape.from_bytes(blob)
 
     def put(self, spec: LandscapeSpec, landscape: Landscape) -> str:
         """Cache a landscape under its spec's key; returns the key.
@@ -348,6 +377,8 @@ class LandscapeStore:
     def invalidate(self, spec_or_key: LandscapeSpec | str) -> bool:
         """Drop one entry; returns whether anything was removed."""
         key = self._resolve_key(spec_or_key)
+        if key is None:
+            return False
         removed = False
         for path in (self._payload_path(key), self._manifest_path(key)):
             try:
@@ -438,8 +469,10 @@ class TenantStores:
     Isolation and sharing rules:
 
     - **raw keys never cross namespaces**: ``get`` / ``invalidate`` /
-      ``entries`` operate on the named tenant's store only, so tenant A
-      cannot read or drop tenant B's entries by key;
+      ``entries`` operate on the named tenant's store only, and a
+      string that is not a 32-hex-digit key names no entry (so a
+      ``../`` path cannot reach out), so tenant A cannot read or drop
+      tenant B's entries by key;
     - **byte quotas are per tenant**: each namespace store carries its
       own ``max_bytes`` (the credential's ``quota_bytes``, else the
       daemon-wide default quota), so one tenant filling its budget

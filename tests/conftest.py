@@ -7,6 +7,11 @@ every code path the experiments use.
 
 from __future__ import annotations
 
+import io
+import struct
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,28 @@ def ideal_generator(qaoa6, medium_grid) -> LandscapeGenerator:
 def mild_noise() -> NoiseModel:
     """A light depolarizing model used across noisy-path tests."""
     return NoiseModel(p1=0.002, p2=0.006)
+
+
+def _damage(path: Path, how: str) -> None:
+    """Damage a stored ``.npz`` payload in place.
+
+    ``"truncate"`` cuts the file in half; ``"flip"`` inverts the last
+    byte of the ``values`` member's data (the last float of the array),
+    leaving every zip header intact so only the member's CRC can tell.
+    """
+    blob = bytearray(path.read_bytes())
+    if how == "truncate":
+        del blob[len(blob) // 2 :]
+    else:
+        with zipfile.ZipFile(io.BytesIO(bytes(blob))) as archive:
+            info = archive.getinfo("values.npy")
+        start = info.header_offset + 30  # fixed part of the local header
+        name_length, extra_length = struct.unpack("<HH", blob[start - 4 : start])
+        blob[start + name_length + extra_length + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+@pytest.fixture(params=["truncate", "flip"])
+def damage_payload(request):
+    """Damages a payload file in place, once per kind of damage."""
+    return lambda path: _damage(Path(path), request.param)

@@ -1,13 +1,14 @@
 """Tests for the landscape daemon and its client library.
 
 Covers the protocol (every op, malformed input), the service semantics
-(store hit/miss and single-flight dedup through one daemon), the failure
-modes the docs promise (no daemon -> transparent in-process fallback;
-daemon restart preserves the store; malformed requests return
-structured errors without killing the server; probes never hang on a
-listener that does not answer), the limits both fronts share (payload,
-idle, connection cap), and the ``LandscapeGenerator(daemon=...)`` / CLI
-wiring.
+(store hit/miss and single-flight dedup through one daemon; hits ship
+the stored payload bytes, damaged payloads recompute, payloads in the
+older compressed format still serve), the failure modes the docs
+promise (no daemon -> transparent in-process fallback; daemon restart
+preserves the store; malformed requests return structured errors
+without killing the server; probes never hang on a listener that does
+not answer), the limits both fronts share (payload, idle, connection
+cap), and the ``LandscapeGenerator(daemon=...)`` / CLI wiring.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.ansatz import QaoaAnsatz
-from repro.landscape import LandscapeGenerator, cost_function, qaoa_grid
+from repro.landscape import Landscape, LandscapeGenerator, cost_function, qaoa_grid
 from repro.problems import random_3_regular_maxcut
 from repro.service import (
     DaemonError,
@@ -28,6 +29,7 @@ from repro.service import (
     LandscapeDaemon,
     LandscapeStore,
 )
+from repro.service.daemon import decode_blob
 
 
 @pytest.fixture
@@ -156,6 +158,77 @@ def test_compute_then_hit_and_store_roundtrip(daemon, ansatz, grid):
     assert client.invalidate(key) is True
     assert client.get(key) is None
     assert client.invalidate(key) is False
+
+
+def _primed(daemon, function, grid):
+    """Compute once through the daemon; the entry's key and payload file."""
+    _client(daemon).get_or_compute(function, grid, label="demo")
+    (entry,) = _client(daemon).index()
+    return entry["key"], daemon.store.root / f"{entry['key']}.npz"
+
+
+def test_damaged_payload_is_recomputed(daemon, ansatz, grid, damage_payload):
+    """A truncated or bit-flipped payload is a miss: ``get`` serves
+    nothing, ``compute`` recomputes the right values and leaves a valid
+    entry behind."""
+    function = cost_function(ansatz)
+    key, payload = _primed(daemon, function, grid)
+    damage_payload(payload)
+    client = _client(daemon)
+    assert client.get(key) is None
+    before = client.stats()["counters"]
+    served = client.get_or_compute(function, grid, label="demo")
+    after = client.stats()["counters"]
+    assert client.last_served_by == "daemon-computed"
+    assert after["misses"] - before["misses"] == 1
+    assert after["computed"] - before["computed"] == 1
+    local = LandscapeGenerator(function, grid).grid_search(label="demo")
+    np.testing.assert_allclose(served.values, local.values, rtol=0.0, atol=1e-10)
+    repaired = daemon.store.get(key)
+    assert repaired is not None
+    np.testing.assert_array_equal(repaired.values, served.values)
+
+
+def test_compressed_payload_from_older_versions_is_served(daemon, ansatz, grid):
+    """An entry written with ``np.savez_compressed`` (the payload format
+    before payloads were stored uncompressed) is a ``compute`` hit and a
+    ``get`` result, shipped as the file's bytes and decoding to the
+    same values."""
+    function = cost_function(ansatz)
+    key, payload = _primed(daemon, function, grid)
+    original = daemon.store.get(key)
+    np.savez_compressed(payload, **original._payload_arrays())
+    compressed = payload.read_bytes()
+    client = _client(daemon)
+    hit = client.get_or_compute(function, grid, label="demo")
+    assert client.last_served_by == "daemon-hit"
+    np.testing.assert_array_equal(hit.values, original.values)
+    np.testing.assert_array_equal(client.get(key).values, original.values)
+    response = client._request(client._frame("get", key=key))
+    assert decode_blob(response["landscape"]) == compressed
+
+
+def test_warm_hits_ship_the_payload_file_without_reencoding(
+    daemon, monkeypatch, ansatz, grid
+):
+    """Once primed, a ``compute`` hit and a ``get`` neither decode nor
+    encode a landscape: each response carries the payload file's bytes."""
+    function = cost_function(ansatz)
+    key, payload = _primed(daemon, function, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm hit must not encode or decode")
+
+    monkeypatch.setattr(Landscape, "to_bytes", refuse)
+    monkeypatch.setattr(Landscape, "from_bytes", refuse)
+    client = _client(daemon)
+    compute = client._request(
+        client._function_frame("compute", function, grid, label="demo")
+    )
+    assert compute["hit"] is True and compute["key"] == key
+    fetched = client._request(client._frame("get", key=key))
+    for response in (compute, fetched):
+        assert decode_blob(response["landscape"]) == payload.read_bytes()
 
 
 def test_generator_daemon_wiring(daemon, ansatz, grid):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +418,62 @@ def test_old_manifest_fields_are_ignored(tmp_path):
     assert store.get(spec) is not None
 
 
+# -- payload bytes: the wire form, damage, and older formats -------------------
+
+
+def test_get_bytes_serves_the_uncompressed_payload_file(tmp_path):
+    """``get_bytes`` returns the payload file as it is: a stored (not
+    deflated) ``.npz`` that decodes to the landscape that was put."""
+    store = LandscapeStore(tmp_path)
+    spec, landscape = _tiny_landscape(0)
+    store.put(spec, landscape)
+    blob = store.get_bytes(spec)
+    assert blob == (tmp_path / f"{spec.key()}.npz").read_bytes()
+    with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {
+            zipfile.ZIP_STORED
+        }
+    served = Landscape.from_bytes(blob)
+    np.testing.assert_array_equal(served.values, landscape.values)
+    assert served.label == landscape.label
+    assert store.get_bytes("0" * 32) is None
+
+
+def test_damaged_payload_is_a_miss(tmp_path, damage_payload):
+    """A truncated payload, or one with a flipped byte in the ``values``
+    data, reads as a miss from ``get_bytes`` and ``get``; the next
+    ``get_or_compute`` recomputes and leaves a valid entry behind."""
+    store = LandscapeStore(tmp_path)
+    spec, landscape = _tiny_landscape(0)
+    store.put(spec, landscape)
+    damage_payload(tmp_path / f"{spec.key()}.npz")
+    assert store.get_bytes(spec) is None
+    assert store.get(spec) is None
+    recomputed = store.get_or_compute(spec, lambda: landscape)
+    assert (store.hits, store.misses) == (0, 1)
+    np.testing.assert_array_equal(recomputed.values, landscape.values)
+    np.testing.assert_array_equal(store.get(spec).values, landscape.values)
+
+
+def test_compressed_payloads_from_older_versions_still_serve(tmp_path):
+    """An entry whose payload was written with ``np.savez_compressed``
+    (the format before payloads were stored uncompressed) is served
+    as it is by ``get_bytes`` and decodes to identical values."""
+    store = LandscapeStore(tmp_path)
+    spec, landscape = _tiny_landscape(0)
+    store.put(spec, landscape)
+    payload = tmp_path / f"{spec.key()}.npz"
+    np.savez_compressed(payload, **landscape._payload_arrays())
+    blob = store.get_bytes(spec)
+    assert blob == payload.read_bytes()
+    np.testing.assert_array_equal(
+        Landscape.from_bytes(blob).values, landscape.values
+    )
+    served = store.get(spec)
+    np.testing.assert_array_equal(served.values, landscape.values)
+    assert served.label == landscape.label
+
+
 # -- multi-tenant namespaces (TenantStores) -----------------------------------
 
 
@@ -427,7 +485,8 @@ def _tenant_stores(tmp_path, **kwargs):
 
 
 def test_tenant_namespaces_isolate_raw_keys(tmp_path):
-    """Tenant A's keys are invisible to tenant B's get/invalidate/entries."""
+    """Tenant A's keys are invisible to tenant B's get/invalidate/entries,
+    also when spelled as a relative path."""
     tenants = _tenant_stores(tmp_path)
     spec, landscape = _tiny_landscape(0)
     tenants.store_for("alice").put(spec, landscape)
@@ -435,6 +494,10 @@ def test_tenant_namespaces_isolate_raw_keys(tmp_path):
     bob = tenants.store_for("bob")
     assert bob.get(spec.key()) is None
     assert bob.invalidate(spec.key()) is False
+    # A raw key is never a path: it cannot reach into another namespace.
+    escape = f"../alice/{spec.key()}"
+    assert bob.get_bytes(escape) is None
+    assert bob.invalidate(escape) is False
     assert [entry.key for entry in bob.entries()] == []
     # ... and the entry is still exactly where alice left it.
     assert tenants.store_for("alice").get(spec.key()) is not None
